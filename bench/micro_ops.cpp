@@ -333,6 +333,41 @@ void bench_gp() {
         std::printf("  -> pooled posterior speedup over per-point: %.1fx\n",
                     pointwise_ns / batched_ns);
     }
+
+    // One late proposal of a long mixed-space architecture search: 200
+    // observed mlp_arch_family points (two one-hot blocks, an integer
+    // depth, two dropout rates) scored against the 512 random + 128 local
+    // candidates of one suggest() — the mixed kernel's cross block plus
+    // the lane-parallel solve.
+    if (want("gp_acquisition_pool")) {
+        models::MlpOptions base;
+        const core::ParamSpace space =
+            models::mlp_arch_family(base, 2, 0.5).space;
+        Rng rng(11);
+        auto draw = [&](std::size_t count) {
+            std::vector<bayesopt::Point> points;
+            for (std::size_t i = 0; i < count; ++i) {
+                points.push_back(space.encode(space.sample(rng)));
+            }
+            return points;
+        };
+        const std::vector<bayesopt::Point> xs = draw(200);
+        std::vector<double> ys;
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            ys.push_back(rng.uniform());
+        }
+        bayesopt::GaussianProcess gp(space.kernel(4.0, 1.0), 1e-4);
+        gp.fit(xs, ys);
+        const std::vector<bayesopt::Point> pool = draw(640);
+        volatile double sink = 0.0;
+        const double ns = time_ns([&] {
+            const std::vector<bayesopt::Posterior> posts =
+                gp.posterior_batch(pool);
+            sink = sink + posts.back().variance;
+        });
+        report("gp_acquisition_pool", "n200m640_mixed",
+               parallel_thread_count(), ns, 0.0);
+    }
 }
 
 void bench_fault_injection() {

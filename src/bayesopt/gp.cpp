@@ -5,8 +5,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "utils/parallel.hpp"
-
 namespace bayesft::bayesopt {
 
 GaussianProcess::GaussianProcess(std::shared_ptr<const Kernel> kernel,
@@ -130,30 +128,18 @@ std::vector<Posterior> GaussianProcess::posterior_batch(
     const std::size_t m = queries.size();
     std::vector<Posterior> out(m);
     if (m == 0) return out;
-    const std::size_t n = xs_.size();
     linalg::Matrix kq = kernel_->cross_matrix(queries, xs_);
-    // Means before the in-place solve consumes the cross block.  Each row
-    // is the exact dot(kx, alpha) loop of the per-point path.
-    const std::size_t grain = std::max<std::size_t>(1, 1024 / (n + 1));
-    parallel_for(0, m, grain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-            const double* row = kq.data() + r * n;
-            double acc = 0.0;
-            for (std::size_t i = 0; i < n; ++i) acc += row[i] * alpha_[i];
-            out[r].mean = y_mean_ + acc;
-        }
-    });
-    // One multi-RHS forward solve for every candidate's v = L^-1 kx.
-    linalg::solve_lower_multi_inplace(chol_, kq);
-    parallel_for(0, m, grain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-            const double* row = kq.data() + r * n;
-            double vv = 0.0;
-            for (std::size_t i = 0; i < n; ++i) vv += row[i] * row[i];
-            const double prior_var = (*kernel_)(queries[r], queries[r]);
-            out[r].variance = std::max(0.0, prior_var - vv);
-        }
-    });
+    // One lane-parallel multi-RHS solve for every candidate's
+    // v = L^-1 kx, which also yields dot(kx, alpha) and v^T v with the
+    // per-point path's exact reductions.
+    linalg::Vector dots;
+    linalg::Vector vtv;
+    linalg::solve_lower_multi_inplace(chol_, kq, alpha_, dots, vtv);
+    for (std::size_t r = 0; r < m; ++r) {
+        out[r].mean = y_mean_ + dots[r];
+        const double prior_var = (*kernel_)(queries[r], queries[r]);
+        out[r].variance = std::max(0.0, prior_var - vtv[r]);
+    }
     return out;
 }
 

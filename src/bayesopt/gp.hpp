@@ -76,11 +76,12 @@ public:
     Posterior posterior(const Point& x) const;
 
     /// Posteriors at many query points in one pass: the m x n cross-kernel
-    /// block is built once (rows over the thread pool), the variance term
-    /// uses one multi-RHS triangular solve, and each row reproduces the
-    /// exact per-point recurrence — so the result is bit-identical to m
-    /// posterior() calls at every thread count, at a fraction of the
-    /// dispatch and allocation cost (the batched acquisition path).
+    /// block is built once (rows over the thread pool), and one
+    /// lane-parallel multi-RHS triangular solve yields every row's mean
+    /// and variance terms with the exact per-point recurrences — so the
+    /// result is bit-identical to m posterior() calls at every thread
+    /// count and SIMD tier, at a fraction of the cost (the batched
+    /// acquisition path).
     std::vector<Posterior> posterior_batch(
         const std::vector<Point>& queries) const;
 

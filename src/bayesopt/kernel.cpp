@@ -127,12 +127,11 @@ MixedArdSquaredExponential::MixedArdSquaredExponential(
     std::vector<double> inverse_length_scales,
     std::vector<CategoricalBlock> blocks, double hamming_weight,
     double amplitude)
-    : inv_scales_(std::move(inverse_length_scales)),
+    : dims_(inverse_length_scales.size()),
       blocks_(std::move(blocks)),
-      is_categorical_(inv_scales_.size(), 0),
       hamming_weight_(hamming_weight),
       amplitude_(amplitude) {
-    if (inv_scales_.empty()) {
+    if (dims_ == 0) {
         throw std::invalid_argument("MixedArdSE: empty scales");
     }
     if (!(hamming_weight > 0.0)) {
@@ -141,37 +140,40 @@ MixedArdSquaredExponential::MixedArdSquaredExponential(
     if (!(amplitude > 0.0)) {
         throw std::invalid_argument("MixedArdSE: amplitude must be > 0");
     }
+    std::vector<char> is_categorical(dims_, 0);
     std::size_t next_free = 0;
     for (const CategoricalBlock& block : blocks_) {
         if (block.cardinality < 2 || block.offset < next_free ||
-            block.offset + block.cardinality > inv_scales_.size()) {
+            block.offset + block.cardinality > dims_) {
             throw std::invalid_argument(
                 "MixedArdSE: malformed categorical blocks");
         }
         next_free = block.offset + block.cardinality;
         for (std::size_t i = block.offset;
              i < block.offset + block.cardinality; ++i) {
-            is_categorical_[i] = 1;
+            is_categorical[i] = 1;
         }
     }
-    for (std::size_t i = 0; i < inv_scales_.size(); ++i) {
-        if (!is_categorical_[i] && !(inv_scales_[i] > 0.0)) {
+    for (std::size_t i = 0; i < dims_; ++i) {
+        if (is_categorical[i]) continue;
+        if (!(inverse_length_scales[i] > 0.0)) {
             throw std::invalid_argument(
                 "MixedArdSE: numeric inverse length scales must be > 0");
         }
+        numeric_dims_.push_back(i);
+        numeric_scales_.push_back(inverse_length_scales[i]);
     }
 }
 
 double MixedArdSquaredExponential::operator()(const Point& a,
                                               const Point& b) const {
-    if (a.size() != inv_scales_.size() || b.size() != inv_scales_.size()) {
+    if (a.size() != dims_ || b.size() != dims_) {
         throw std::invalid_argument("MixedArdSE: dimension mismatch");
     }
     double exponent = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (is_categorical_[i]) continue;
-        const double d = a[i] - b[i];
-        exponent += inv_scales_[i] * d * d;
+    for (std::size_t j = 0; j < numeric_dims_.size(); ++j) {
+        const double d = a[numeric_dims_[j]] - b[numeric_dims_[j]];
+        exponent += numeric_scales_[j] * d * d;
     }
     for (const CategoricalBlock& block : blocks_) {
         if (block_argmax(a, block) != block_argmax(b, block)) {
@@ -181,9 +183,64 @@ double MixedArdSquaredExponential::operator()(const Point& a,
     return amplitude_ * std::exp(-exponent);
 }
 
+linalg::Matrix MixedArdSquaredExponential::cross_matrix(
+    const std::vector<Point>& queries, const std::vector<Point>& xs) const {
+    const std::size_t nnum = numeric_dims_.size();
+    const std::size_t ncat = blocks_.size();
+    // Per point: its numeric coordinates packed in ascending order, and
+    // its block argmaxes — computed once instead of once per element.
+    struct Encoded {
+        std::vector<double> num;
+        std::vector<std::size_t> cat;
+    };
+    auto encode = [&](const std::vector<Point>& points) {
+        Encoded e{std::vector<double>(points.size() * nnum),
+                  std::vector<std::size_t>(points.size() * ncat)};
+        for (std::size_t p = 0; p < points.size(); ++p) {
+            if (points[p].size() != dims_) {
+                throw std::invalid_argument("MixedArdSE: dimension mismatch");
+            }
+            for (std::size_t j = 0; j < nnum; ++j) {
+                e.num[p * nnum + j] = points[p][numeric_dims_[j]];
+            }
+            for (std::size_t c = 0; c < ncat; ++c) {
+                e.cat[p * ncat + c] = block_argmax(points[p], blocks_[c]);
+            }
+        }
+        return e;
+    };
+    const Encoded q = encode(queries);
+    const Encoded x = encode(xs);
+    const std::size_t m = queries.size();
+    const std::size_t n = xs.size();
+    linalg::Matrix c(m, n);
+    const std::size_t grain = std::max<std::size_t>(1, 1024 / (n + 1));
+    parallel_for(0, m, grain, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r) {
+            const double* qa = q.num.data() + r * nnum;
+            const std::size_t* qc = q.cat.data() + r * ncat;
+            for (std::size_t i = 0; i < n; ++i) {
+                const double* xb = x.num.data() + i * nnum;
+                const std::size_t* xc = x.cat.data() + i * ncat;
+                // operator()'s terms in operator()'s order.
+                double exponent = 0.0;
+                for (std::size_t j = 0; j < nnum; ++j) {
+                    const double d = qa[j] - xb[j];
+                    exponent += numeric_scales_[j] * d * d;
+                }
+                for (std::size_t k = 0; k < ncat; ++k) {
+                    if (qc[k] != xc[k]) exponent += hamming_weight_;
+                }
+                c(r, i) = amplitude_ * std::exp(-exponent);
+            }
+        }
+    });
+    return c;
+}
+
 std::string MixedArdSquaredExponential::describe() const {
     std::ostringstream os;
-    os << "MixedARD-SE(d=" << inv_scales_.size() << ", cat="
+    os << "MixedARD-SE(d=" << dims_ << ", cat="
        << blocks_.size() << ", lambda=" << hamming_weight_
        << ", k0=" << amplitude_ << ")";
     return os.str();

@@ -41,8 +41,10 @@ public:
     /// outputs, so bit-identical to per-query cross() calls at every
     /// thread count).  The batched-acquisition path builds the whole
     /// candidate pool's cross-kernel block in one pass through this.
-    linalg::Matrix cross_matrix(const std::vector<Point>& queries,
-                                const std::vector<Point>& xs) const;
+    /// Overrides may precompute per-point terms, but every element must
+    /// stay bit-identical to operator().
+    virtual linalg::Matrix cross_matrix(const std::vector<Point>& queries,
+                                        const std::vector<Point>& xs) const;
 };
 
 /// Paper Eq. 9: k0 * exp(-sum_i k_i (a_i - b_i)^2).
@@ -102,13 +104,20 @@ public:
     double operator()(const Point& a, const Point& b) const override;
     std::string describe() const override;
 
+    /// Encodes every point once (block argmaxes, packed numeric
+    /// coordinates) and then sums each element's terms in operator()'s
+    /// order, so C[r][i] is bit-identical to (*this)(queries[r], xs[i]).
+    linalg::Matrix cross_matrix(const std::vector<Point>& queries,
+                                const std::vector<Point>& xs) const override;
+
     const std::vector<CategoricalBlock>& blocks() const { return blocks_; }
     double hamming_weight() const { return hamming_weight_; }
 
 private:
-    std::vector<double> inv_scales_;
+    std::size_t dims_;
     std::vector<CategoricalBlock> blocks_;
-    std::vector<char> is_categorical_;  // per-coordinate membership mask
+    std::vector<std::size_t> numeric_dims_;  // ascending non-block coords
+    std::vector<double> numeric_scales_;     // their inverse length scales
     double hamming_weight_;
     double amplitude_;
 };

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "simd/kernels.hpp"
 #include "tensor/gemm.hpp"
 #include "utils/parallel.hpp"
 
@@ -214,28 +215,53 @@ void cholesky_truncate(Matrix& l, std::size_t n) {
     l = std::move(cut);
 }
 
-void solve_lower_multi_inplace(const Matrix& l, Matrix& rhs) {
+namespace {
+
+/// Rows per thread-pool task: a whole number of the widest kernel panel
+/// (4 vectors x 8 lanes), so a split never leaves a part-filled panel in
+/// the middle of the block.
+constexpr std::size_t kSolveRowBlock = 32;
+
+void solve_rows(const Matrix& l, Matrix& rhs, const double* alpha,
+                double* dot_alpha, double* vtv) {
     const std::size_t n = l.rows();
     if (l.cols() != n || rhs.cols() != n) {
         throw std::invalid_argument(
             "solve_lower_multi_inplace: dimension mismatch");
     }
-    // Rows are independent right-hand sides with disjoint outputs; each
-    // runs the exact solve_lower() recurrence, so the result is
-    // bit-identical to n_rows separate solve_lower calls at every thread
-    // count.  Grain keeps chunks at ~16k multiply-adds.
-    const std::size_t grain =
-        std::max<std::size_t>(1, 32768 / (n * n + 1));
-    parallel_for(0, rhs.rows(), grain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-            double* y = rhs.data() + r * n;
-            for (std::size_t i = 0; i < n; ++i) {
-                double acc = y[i];
-                for (std::size_t k = 0; k < i; ++k) acc -= l(i, k) * y[k];
-                y[i] = acc / l(i, i);
-            }
-        }
+    const std::size_t m = rhs.rows();
+    const std::size_t blocks = (m + kSolveRowBlock - 1) / kSolveRowBlock;
+    const auto solve = simd::kernels().solve_lower_f64;
+    // Rows are independent right-hand sides with disjoint outputs, and the
+    // kernel never mixes lanes, so any split over the pool gives the same
+    // bits.  Grain keeps chunks at ~16k multiply-adds.
+    const std::size_t grain = std::max<std::size_t>(
+        1, 32768 / (kSolveRowBlock * n * n + 1));
+    parallel_for(0, blocks, grain, [&](std::size_t lo, std::size_t hi) {
+        const std::size_t r0 = lo * kSolveRowBlock;
+        const std::size_t r1 = std::min(m, hi * kSolveRowBlock);
+        solve(l.data(), n, rhs.data() + r0 * n, r1 - r0, alpha,
+              alpha != nullptr ? dot_alpha + r0 : nullptr,
+              alpha != nullptr ? vtv + r0 : nullptr);
     });
+}
+
+}  // namespace
+
+void solve_lower_multi_inplace(const Matrix& l, Matrix& rhs) {
+    solve_rows(l, rhs, nullptr, nullptr, nullptr);
+}
+
+void solve_lower_multi_inplace(const Matrix& l, Matrix& rhs,
+                               const Vector& alpha, Vector& dot_alpha,
+                               Vector& vtv) {
+    if (alpha.size() != l.rows()) {
+        throw std::invalid_argument(
+            "solve_lower_multi_inplace: alpha size mismatch");
+    }
+    dot_alpha.assign(rhs.rows(), 0.0);
+    vtv.assign(rhs.rows(), 0.0);
+    solve_rows(l, rhs, alpha.data(), dot_alpha.data(), vtv.data());
 }
 
 Vector solve_lower(const Matrix& l, const Vector& b) {

@@ -100,13 +100,23 @@ bool cholesky_append_row(Matrix& l, const Vector& k, double diag);
 void cholesky_truncate(Matrix& l, std::size_t n);
 
 /// Multi-RHS forward solve: treats each ROW r of `rhs` as an independent
-/// right-hand side and solves L y_r = rhs_r in place.  Each row runs the
-/// exact solve_lower() recurrence, so row r of the result is bit-identical
-/// to solve_lower(l, row r); rows are independent and are split over the
-/// global thread pool (disjoint outputs => bit-identical for every thread
-/// count).  This is the batched-acquisition path: one solve over the whole
-/// candidate pool instead of a triangular solve per candidate.
+/// right-hand side and solves L y_r = rhs_r in place.  Rows run in the
+/// vector lanes of the dispatched simd::KernelTable::solve_lower_f64, each
+/// with the exact solve_lower() recurrence, so row r of the result is
+/// bit-identical to solve_lower(l, row r) on every SIMD tier; panels of
+/// rows are split over the global thread pool (disjoint outputs =>
+/// bit-identical for every thread count).  This is the batched-acquisition
+/// path: one solve over the whole candidate pool instead of a triangular
+/// solve per candidate.
 void solve_lower_multi_inplace(const Matrix& l, Matrix& rhs);
+
+/// The same solve, also returning the two reductions the GP posterior
+/// needs per row: dot_alpha[r] = dot(rhs_r, alpha) over the row before it
+/// is solved, and vtv[r] = dot(v_r, v_r) over the solved row — each
+/// bit-identical to linalg::dot on the corresponding vectors.
+void solve_lower_multi_inplace(const Matrix& l, Matrix& rhs,
+                               const Vector& alpha, Vector& dot_alpha,
+                               Vector& vtv);
 
 /// Solves L y = b for lower-triangular L.
 Vector solve_lower(const Matrix& l, const Vector& b);

@@ -1,9 +1,10 @@
 #pragma once
 // Runtime-dispatched SIMD kernel layer (docs/performance.md).
 //
-// Every hot elementwise / GEMM loop in the library routes through the
-// function-pointer table returned by `kernels()`.  The table is selected
-// once per process from the CPU's capabilities, overridable with
+// Every hot elementwise / GEMM / triangular-solve loop in the library
+// routes through the function-pointer table returned by `kernels()`.
+// The table is selected once per process from the CPU's capabilities,
+// overridable with
 //   BAYESFT_SIMD = scalar | avx2 | avx512 | neon | native
 // ("native" = best tier this build + CPU supports; unknown values and
 // tiers the CPU cannot run raise std::invalid_argument / runtime_error).
@@ -13,11 +14,13 @@
 // by construction — all tiers instantiate the same generic kernel
 // templates (simd/kernels_generic.inc) over a backend description
 // (simd/vec_backends.inc) whose operations are all correctly-rounded IEEE
-// ops (add/sub/mul/div/fma/sqrt), and every SIMD translation unit is
-// compiled with -ffp-contract=off so the scalar tier fuses exactly where
-// the vector tiers do (explicit std::fma) and nowhere else.
+// ops (add/sub/mul/div/fma/sqrt), and the library is compiled with
+// -ffp-contract=off (CMakeLists.txt) so the scalar tier fuses exactly
+// where the vector tiers do (explicit std::fma) and nowhere else.  The
+// same flag keeps the library's plain scalar double code (linalg, the GP)
+// unfused, which is what lets solve_lower_f64 match linalg::solve_lower.
 // tests/test_simd.cpp pins the contract for every fault model, every
-// activation, and GEMM tail shapes.
+// activation, GEMM tail shapes, and the f64 solve's panel tails.
 //
 // RNG stream layout: the fault kernels consume randomness through
 // kLanes = 16 deterministic logical lanes derived from the caller's Rng
@@ -110,6 +113,20 @@ struct KernelTable {
     void (*qgemm_nt)(const std::int16_t* a, const std::int16_t* b,
                      float* c, std::size_t m, std::size_t k, std::size_t n,
                      float scale);
+
+    // -- double-precision linear algebra (the GP surrogate) --------------
+    /// Forward substitution for m independent right-hand sides: row r of
+    /// the row-major m x n `y` is overwritten with v_r = L^-1 y_r, where
+    /// `l` is the n x n row-major lower factor.  Rows run in vector lanes
+    /// (8 on AVX-512, 4 on AVX2, 2 on NEON, 1 on scalar), each with
+    /// linalg::solve_lower's recurrence: ascending k, a separate mul then
+    /// sub, one divide.  When `alpha` is non-null it also writes
+    /// dot_alpha[r] = sum_i y_r[i] * alpha[i] over the un-solved row and
+    /// vtv[r] = sum_i v_r[i]^2, both accumulated in ascending i (the GP
+    /// posterior mean and variance terms); otherwise both may be null.
+    void (*solve_lower_f64)(const double* l, std::size_t n, double* y,
+                            std::size_t m, const double* alpha,
+                            double* dot_alpha, double* vtv);
 };
 
 /// The active table (env/CPU selected, cached after the first call).

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>

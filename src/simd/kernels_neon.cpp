@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #if defined(__ARM_NEON) && defined(__aarch64__)
 #include <arm_neon.h>

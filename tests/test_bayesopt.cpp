@@ -423,6 +423,36 @@ TEST(Kernel, MixedArdHammingTermAndValidation) {
                  std::invalid_argument);  // non-positive numeric scale
 }
 
+TEST(Kernel, MixedArdCrossMatrixMatchesPointwiseBitwise) {
+    // The precomputed cross block must hold operator()'s bits, including
+    // for near-one-hot queries (argmax ties resolve to the first winner)
+    // and with the numeric coordinates split around the blocks.
+    MixedArdSquaredExponential k({3.0, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 2.0},
+                                 {{1, 3}, {5, 2}}, 0.8, 1.3);
+    Rng rng(43);
+    auto draw = [&](std::size_t count) {
+        std::vector<Point> points;
+        for (std::size_t p = 0; p < count; ++p) {
+            Point x(8);
+            for (double& v : x) v = rng.uniform();
+            if (p % 3 == 0) x[2] = x[1];  // a tie inside the first block
+            points.push_back(x);
+        }
+        return points;
+    };
+    const std::vector<Point> queries = draw(37);
+    const std::vector<Point> xs = draw(11);
+    const linalg::Matrix c = k.cross_matrix(queries, xs);
+    ASSERT_EQ(c.rows(), queries.size());
+    ASSERT_EQ(c.cols(), xs.size());
+    for (std::size_t r = 0; r < queries.size(); ++r) {
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            EXPECT_EQ(c(r, i), k(queries[r], xs[i])) << r << "," << i;
+        }
+    }
+    EXPECT_THROW(k.cross_matrix({Point(7, 0.0)}, xs), std::invalid_argument);
+}
+
 TEST(BayesOpt, DuplicateMergeUsesSpanNormalizedDistance) {
     // A wide dimension next to a narrow one: raw Euclidean distance would
     // either merge distinct narrow-dim points or fail to merge identical

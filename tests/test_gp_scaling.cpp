@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,6 +27,9 @@
 #include "bayesopt/bayesopt.hpp"
 #include "bayesopt/gp.hpp"
 #include "bayesopt/kernel.hpp"
+#include "core/param_space.hpp"
+#include "models/zoo.hpp"
+#include "simd/kernels.hpp"
 #include "utils/parallel.hpp"
 #include "utils/rng.hpp"
 
@@ -130,23 +134,63 @@ TEST(GpIncremental, ObserveRejectsWhenFactorCarriesJitter) {
 }
 
 TEST(GpBatched, PosteriorBatchMatchesPerPointBitwise) {
-    std::vector<Point> xs;
-    std::vector<double> ys;
-    make_data(40, xs, ys);
-    GaussianProcess gp(test_kernel(), 1e-4);
-    gp.fit(xs, ys);
-
-    std::vector<Point> queries;
+    // Two surrogates: the 3-d ARD kernel, and the architecture-search
+    // mixed kernel of mlp_arch_family (two one-hot blocks, an integer
+    // depth, continuous dropout rates).  Pool sizes straddle every f64
+    // vector width and full solve panel of every tier, up to a whole
+    // 640-candidate suggest() pool, and every available tier must give
+    // the per-point posterior's bits.
+    const core::ParamSpace space =
+        models::mlp_arch_family(models::MlpOptions{}, 2, 0.5).space;
     Rng rng(9);
-    for (std::size_t i = 0; i < 33; ++i) {
-        queries.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
-    }
-    const std::vector<Posterior> batched = gp.posterior_batch(queries);
-    ASSERT_EQ(batched.size(), queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-        const Posterior one = gp.posterior(queries[i]);
-        EXPECT_EQ(batched[i].mean, one.mean) << "query " << i;
-        EXPECT_EQ(batched[i].variance, one.variance) << "query " << i;
+    struct Case {
+        std::shared_ptr<const Kernel> kernel;
+        std::function<Point()> draw;
+    };
+    const Case cases[] = {
+        {test_kernel(),
+         [&] { return Point{rng.uniform(), rng.uniform(), rng.uniform()}; }},
+        {space.kernel(4.0, 1.0),
+         [&] { return space.encode(space.sample(rng)); }},
+    };
+    for (const Case& c : cases) {
+        std::vector<Point> pool;
+        for (std::size_t i = 0; i < 640; ++i) pool.push_back(c.draw());
+        for (const std::size_t n : {1UL, 3UL, 200UL}) {
+            std::vector<Point> xs;
+            std::vector<double> ys;
+            for (std::size_t i = 0; i < n; ++i) {
+                xs.push_back(c.draw());
+                ys.push_back(rng.normal());
+            }
+            GaussianProcess gp(c.kernel, 1e-4);
+            gp.fit(xs, ys);
+            std::vector<Posterior> reference;
+            for (const Point& q : pool) reference.push_back(gp.posterior(q));
+            for (const simd::Tier tier :
+                 {simd::Tier::kScalar, simd::Tier::kAvx2,
+                  simd::Tier::kAvx512, simd::Tier::kNeon}) {
+                if (!simd::tier_available(tier)) continue;
+                simd::TierOverride override_tier(tier);
+                for (const std::size_t m :
+                     {1UL, 3UL, 4UL, 5UL, 7UL, 8UL, 9UL, 15UL, 16UL, 17UL,
+                      31UL, 32UL, 33UL, 640UL}) {
+                    const std::vector<Posterior> batched = gp.posterior_batch(
+                        std::vector<Point>(pool.begin(), pool.begin() + m));
+                    ASSERT_EQ(batched.size(), m);
+                    for (std::size_t i = 0; i < m; ++i) {
+                        ASSERT_EQ(batched[i].mean, reference[i].mean)
+                            << c.kernel->describe() << " "
+                            << simd::tier_name(tier) << " n=" << n
+                            << " m=" << m << " query " << i;
+                        ASSERT_EQ(batched[i].variance, reference[i].variance)
+                            << c.kernel->describe() << " "
+                            << simd::tier_name(tier) << " n=" << n
+                            << " m=" << m << " query " << i;
+                    }
+                }
+            }
+        }
     }
 }
 

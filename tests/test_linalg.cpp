@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "linalg/matrix.hpp"
+#include "simd/kernels.hpp"
 #include "utils/rng.hpp"
 
 namespace bayesft::linalg {
@@ -216,21 +217,48 @@ TEST(CholeskyTruncate, IsExactDowndate) {
 TEST(SolveMulti, MatchesPerRowSolvesBitwise) {
     // Each RHS row of the multi-solve must carry the identical bits the
     // one-vector solve_lower produces (the pooled-posterior contract).
-    Rng rng(14);
-    const std::size_t n = 9, m = 5;
-    const Matrix l = cholesky(random_spd(n, rng));
-    Matrix rhs(m, n);
-    for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t i = 0; i < n; ++i) rhs(r, i) = rng.normal();
-    }
-    const Matrix original = rhs;
-    solve_lower_multi_inplace(l, rhs);
-    for (std::size_t r = 0; r < m; ++r) {
-        Vector b(n);
-        for (std::size_t i = 0; i < n; ++i) b[i] = original(r, i);
-        const Vector x = solve_lower(l, b);
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(rhs(r, i), x[i]) << "row " << r << " col " << i;
+    // The rows run in SIMD lanes, so this holds on every tier and for
+    // pool sizes around every panel width; the reductions overload must
+    // also return dot() of each row with alpha and of each solution.
+    using simd::Tier;
+    for (const std::size_t n : {1UL, 3UL, 9UL, 50UL}) {
+        Rng rng(14 + n);
+        const Matrix l = cholesky(random_spd(n, rng));
+        Vector alpha(n);
+        for (double& a : alpha) a = rng.normal();
+        for (const std::size_t m : {1UL, 5UL, 7UL, 8UL, 9UL, 33UL, 70UL}) {
+            Matrix original(m, n);
+            for (std::size_t r = 0; r < m; ++r) {
+                for (std::size_t i = 0; i < n; ++i) {
+                    original(r, i) = rng.normal();
+                }
+            }
+            for (const Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512,
+                                 Tier::kNeon}) {
+                if (!simd::tier_available(t)) continue;
+                simd::TierOverride tier(t);
+                Matrix bare = original;
+                solve_lower_multi_inplace(l, bare);
+                Matrix solved = original;
+                Vector dots;
+                Vector vtv;
+                solve_lower_multi_inplace(l, solved, alpha, dots, vtv);
+                for (std::size_t r = 0; r < m; ++r) {
+                    Vector b(n);
+                    for (std::size_t i = 0; i < n; ++i) b[i] = original(r, i);
+                    const Vector x = solve_lower(l, b);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        ASSERT_EQ(bare(r, i), x[i])
+                            << simd::tier_name(t) << " n=" << n
+                            << " m=" << m << " row " << r << " col " << i;
+                        ASSERT_EQ(solved(r, i), x[i]);
+                    }
+                    ASSERT_EQ(dots[r], dot(b, alpha))
+                        << simd::tier_name(t) << " n=" << n << " row " << r;
+                    ASSERT_EQ(vtv[r], dot(x, x))
+                        << simd::tier_name(t) << " n=" << n << " row " << r;
+                }
+            }
         }
     }
 }

@@ -2,8 +2,9 @@
 // for identical inputs — including the Rng state — every kernel must
 // produce bit-identical results on every tier this build + CPU can run.
 // Pinned here for every fault model in the zoo, every activation kind
-// (forward and backward), the deterministic quantization kernels, and
-// GEMM across odd/remainder shapes; plus the panel-split invariance that
+// (forward and backward), the deterministic quantization kernels, GEMM
+// across odd/remainder shapes, and the f64 triangular solve across pool
+// tails; plus the panel-split invariance that
 // makes the parallel GEMM driver thread-count independent, and fault
 // injection under 1 and 4 evaluation threads.
 
@@ -52,10 +53,11 @@ std::vector<float> test_weights(std::size_t n, std::uint64_t seed) {
     return w;
 }
 
-bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
+template <class T>
+bool bits_equal(const std::vector<T>& a, const std::vector<T>& b) {
     return a.size() == b.size() &&
            (a.empty() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 /// Sizes chosen to straddle every vector width: sub-lane, exactly one
@@ -105,6 +107,7 @@ TEST(SimdDispatch, EveryAvailableTierHasCompleteTable) {
         EXPECT_NE(kt->lognormal_mul, nullptr);
         EXPECT_NE(kt->gemm_f32, nullptr);
         EXPECT_NE(kt->qgemm_nt, nullptr);
+        EXPECT_NE(kt->solve_lower_f64, nullptr);
         EXPECT_STREQ(kt->name, tier_name(t));
     }
 }
@@ -265,6 +268,71 @@ TEST(SimdBitExact, GemmPanelSplitIsBitInvariant) {
                          split.data() + lo * n, n, hi - lo, k, n, false);
         }
         EXPECT_TRUE(bits_equal(whole, split)) << tier_name(t);
+    }
+}
+
+// ------------------------------------------- f64 triangular solve ----
+
+/// The lane-parallel forward solve on every tier against the scalar tier:
+/// pool sizes straddle every f64 vector width (1/2/4/8 lanes) and every
+/// full panel (4 vectors), and the solved rows, the dot(y, alpha) terms
+/// and the v^T v terms must all agree bitwise.  Solving the rows one call
+/// at a time must give the same bits as one call over the whole pool.
+TEST(SimdBitExact, SolveLowerF64MatchesScalarOnTailShapes) {
+    const std::size_t pools[] = {1,  2,  3,  4,  5,  7,  8,  9,
+                                 15, 16, 17, 31, 32, 33, 65};
+    for (const std::size_t n : {1UL, 2UL, 7UL, 40UL}) {
+        // A well-conditioned lower factor: unit-ish diagonal, small
+        // off-diagonal entries of both signs.
+        Rng rng(n);
+        std::vector<double> l(n * n, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t k = 0; k < i; ++k) {
+                l[i * n + k] = rng.uniform(-0.3, 0.3);
+            }
+            l[i * n + i] = rng.uniform(0.5, 1.5);
+        }
+        std::vector<double> alpha(n);
+        for (double& a : alpha) a = rng.normal();
+        for (const std::size_t m : pools) {
+            std::vector<double> rhs(m * n);
+            for (double& v : rhs) v = rng.uniform(-1.0, 1.0);
+
+            std::vector<double> ref = rhs;
+            std::vector<double> ref_dot(m), ref_vtv(m);
+            kernels_for(Tier::kScalar)
+                ->solve_lower_f64(l.data(), n, ref.data(), m, alpha.data(),
+                                  ref_dot.data(), ref_vtv.data());
+            for (const Tier t : available_tiers()) {
+                const KernelTable* kt = kernels_for(t);
+                std::vector<double> y = rhs;
+                std::vector<double> dot(m), vtv(m);
+                kt->solve_lower_f64(l.data(), n, y.data(), m, alpha.data(),
+                                    dot.data(), vtv.data());
+                EXPECT_TRUE(bits_equal(ref, y))
+                    << "n=" << n << " m=" << m << " " << tier_name(t);
+                EXPECT_TRUE(bits_equal(ref_dot, dot))
+                    << "n=" << n << " m=" << m << " " << tier_name(t);
+                EXPECT_TRUE(bits_equal(ref_vtv, vtv))
+                    << "n=" << n << " m=" << m << " " << tier_name(t);
+
+                std::vector<double> bare = rhs;
+                kt->solve_lower_f64(l.data(), n, bare.data(), m, nullptr,
+                                    nullptr, nullptr);
+                EXPECT_TRUE(bits_equal(ref, bare))
+                    << "no alpha, n=" << n << " m=" << m << " "
+                    << tier_name(t);
+
+                std::vector<double> single = rhs;
+                for (std::size_t r = 0; r < m; ++r) {
+                    kt->solve_lower_f64(l.data(), n, single.data() + r * n,
+                                        1, nullptr, nullptr, nullptr);
+                }
+                EXPECT_TRUE(bits_equal(ref, single))
+                    << "row by row, n=" << n << " m=" << m << " "
+                    << tier_name(t);
+            }
+        }
     }
 }
 

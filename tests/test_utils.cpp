@@ -113,7 +113,7 @@ TEST(Logging, OffSilencesEverything) {
 TEST(Stopwatch, MeasuresElapsedTime) {
     Stopwatch watch;
     volatile double sink = 0.0;
-    for (int i = 0; i < 100000; ++i) sink += i;
+    for (int i = 0; i < 100000; ++i) sink = sink + i;
     EXPECT_GT(watch.seconds(), 0.0);
     EXPECT_NEAR(watch.millis(), watch.seconds() * 1e3,
                 watch.seconds() * 1e3 * 0.5);
