@@ -80,8 +80,9 @@ void print_usage() {
         "                    activates (default 500; needs --trust-region)\n"
         "  --checkpoint-info <p>  load the checkpoint at <p>, print its\n"
         "                    metadata (format version, trial count, trust-\n"
-        "                    region state), and exit; fails on a file this\n"
-        "                    build cannot resume\n";
+        "                    region state, base trials, journal deltas and\n"
+        "                    bytes), and exit; fails on a file this build\n"
+        "                    cannot resume\n";
 }
 
 struct JsonRecord {
@@ -351,16 +352,12 @@ int main(int argc, char** argv) {
         // Inspection mode: prove the file loads under this build's reader
         // (the CI cross-version smoke), then print what a resume would see.
         try {
+            core::CheckpointLayout layout;
             const core::SearchCheckpoint ckpt =
-                core::load_checkpoint(checkpoint_info);
-            std::uint64_t version = 0;
-            {
-                std::ifstream in(checkpoint_info);
-                std::string magic;
-                in >> magic >> version;
-            }
+                core::load_checkpoint(checkpoint_info, &layout);
             std::cout << "checkpoint " << checkpoint_info << "\n"
-                      << "  format_version " << version << " (this build reads "
+                      << "  format_version " << layout.version
+                      << " (this build reads "
                       << core::SearchCheckpoint::kOldestReadableVersion << ".."
                       << core::SearchCheckpoint::kVersion << ", writes "
                       << core::SearchCheckpoint::kVersion << ")\n"
@@ -372,7 +369,12 @@ int main(int argc, char** argv) {
                       << ckpt.bo.trust_region.length << " successes="
                       << ckpt.bo.trust_region.successes << " failures="
                       << ckpt.bo.trust_region.failures << " restarts="
-                      << ckpt.bo.trust_region.restarts << "\n";
+                      << ckpt.bo.trust_region.restarts << "\n"
+                      << "  base_trials " << layout.base_trials << "\n"
+                      << "  deltas " << layout.deltas << "\n"
+                      << "  journal_bytes " << layout.journal_bytes
+                      << " (base " << layout.base_bytes << ", torn tail "
+                      << layout.torn_bytes << ")\n";
             return 0;
         } catch (const std::exception& error) {
             std::cerr << "experiments: " << error.what() << "\n";

@@ -386,7 +386,7 @@ void bench_fault_injection() {
         const fault::LogNormalDrift drift(0.5);
         volatile float sink = 0.0F;
         const double ns = time_ns([&] {
-            drift.apply(weights, rng);
+            drift.perturb(weights, rng);
             sink = sink + weights[0];
         });
         report("drift_injection", "65536", 1, ns, 0.0,
@@ -464,9 +464,9 @@ void bench_mc_evaluation() {
         const double ns = time_ns(
             [&] {
                 Rng inner(99);
-                rep = fault::evaluate_under_drift(model, blobs.images,
-                                                  blobs.labels, drift,
-                                                  kSamples, inner, threads);
+                rep = fault::evaluate_under_faults(model, blobs.images,
+                                                   blobs.labels, drift,
+                                                   kSamples, inner, threads);
             },
             2);
         report("mc_drift_eval", "mlp64x2_T16", threads, ns, 0.0);

@@ -49,7 +49,7 @@ int main() {
                       {"sigma", "mAP %"});
     for (double sigma : {0.0, 0.2, 0.4, 0.6, 0.8}) {
         const fault::LogNormalDrift drift(sigma);
-        const auto report = fault::evaluate_metric_under_drift(
+        const auto report = fault::evaluate_metric_under_faults(
             detector.network(), drift, 4, rng,
             [&](nn::Module& m) {
                 return detector.evaluate_map_with(m, scenes.images,

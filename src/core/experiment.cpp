@@ -25,7 +25,7 @@ ResultTable ExperimentResult::to_table(const std::string& title) const {
 namespace {
 
 /// Sigma sweep with a custom accuracy metric (standard or FTNA decode).
-/// `num_threads` follows the evaluate_metric_under_drift contract: pass 0
+/// `num_threads` follows the evaluate_metric_under_faults contract: pass 0
 /// (pool width) only for metrics that score the module they are handed.
 std::vector<double> sweep(
     nn::Module& net, const std::vector<double>& sigmas,
@@ -36,7 +36,7 @@ std::vector<double> sweep(
     curve.reserve(sigmas.size());
     for (double sigma : sigmas) {
         const fault::LogNormalDrift drift(sigma);
-        curve.push_back(fault::evaluate_metric_under_drift(
+        curve.push_back(fault::evaluate_metric_under_faults(
                             net, drift, eval_samples, rng, metric,
                             num_threads)
                             .mean_accuracy);

@@ -21,7 +21,7 @@ struct TrainedMethod {
     nn::Module* net = nullptr;
     /// Scores the (possibly replicated) module it is handed.
     std::function<double(nn::Module&)> metric;
-    /// Thread budget for evaluate_metric_under_drift: 0 (pool width) only
+    /// Thread budget for evaluate_metric_under_faults: 0 (pool width) only
     /// when `metric` scores the module it is handed; 1 when it closes over
     /// shared state (FTNA decoding).
     std::size_t sweep_threads = 0;

@@ -16,9 +16,19 @@
 // save/load round trip is exact.  load_checkpoint validates the format
 // version; the search drivers additionally validate the space and scenario
 // digests, so a checkpoint can only resume the exact scenario that wrote
-// it.  Files are written to "<path>.tmp", fsynced, and renamed into place
-// (then the directory is fsynced), so neither a kill during save nor a
-// power loss right after it can corrupt or roll back the checkpoint.
+// it.
+//
+// Format v4 is a base snapshot followed by an append-only journal in the
+// same file.  A save that extends the file's last committed state (same
+// header, its trials a prefix of the live ones, no model payload) appends
+// one checksummed delta (the new trials and cache entries, the RNG and
+// trust-region state) plus a fixed-shape commit line in a single write,
+// then fdatasyncs.  Every other save, and any save once the journal
+// outgrows its base, writes a fresh base to "<path>.tmp", fsyncs it,
+// renames it into place and fsyncs the directory.  Either way the save is
+// durable when save_checkpoint returns, and a kill at any byte leaves the
+// last committed state loadable: the reader stops at the first torn or
+// corrupt delta.
 
 #include <cstdint>
 #include <string>
@@ -59,8 +69,10 @@ struct SearchCheckpoint {
     /// added the trust-region record (docs/optimizer-scaling.md); v2 files
     /// still load, with the trust region freshly initialized — exactly the
     /// state a v2 writer (which could not have had trust regions enabled)
-    /// would resume into.  Anything else is rejected.
-    static constexpr std::uint32_t kVersion = 3;
+    /// would resume into.  v4 put the base under a commit line and
+    /// added the append-only journal (docs/checkpointing.md).  Anything
+    /// else is rejected.
+    static constexpr std::uint32_t kVersion = 4;
     /// Oldest format version load_checkpoint still accepts.
     static constexpr std::uint32_t kOldestReadableVersion = 2;
 
@@ -94,15 +106,30 @@ struct SearchCheckpoint {
 /// produced them.
 std::string build_stamp();
 
-/// Writes `checkpoint` to `path` atomically (tmp file + rename).
-/// Throws std::runtime_error on I/O failure.
+/// Makes `checkpoint` the durable state at `path`: appends a journal delta
+/// when the file's last commit is a prefix of it, else writes a fresh base
+/// atomically (tmp file + rename).  Throws std::runtime_error on I/O
+/// failure.
 void save_checkpoint(const SearchCheckpoint& checkpoint,
                      const std::string& path);
 
-/// Reads a checkpoint written by save_checkpoint.  Throws
-/// std::runtime_error on I/O failure, bad magic, version mismatch, or a
-/// malformed/truncated file.
-SearchCheckpoint load_checkpoint(const std::string& path);
+/// The on-disk shape load_checkpoint found (experiments --checkpoint-info).
+struct CheckpointLayout {
+    std::uint32_t version = 0;
+    std::uint64_t base_trials = 0;    ///< trials in the base snapshot
+    std::uint64_t deltas = 0;         ///< committed journal records
+    std::uint64_t base_bytes = 0;     ///< base records + commit line
+    std::uint64_t journal_bytes = 0;  ///< committed bytes after the base
+    std::uint64_t torn_bytes = 0;     ///< ignored bytes after the last commit
+};
+
+/// Reads a checkpoint written by save_checkpoint: the base, then every
+/// committed journal delta in order, stopping at the first torn or corrupt
+/// one.  Throws std::runtime_error on I/O failure, bad magic, version
+/// mismatch, a malformed/truncated base, or (v2/v3) bytes after its end
+/// marker.  Fills `layout` when given.
+SearchCheckpoint load_checkpoint(const std::string& path,
+                                 CheckpointLayout* layout = nullptr);
 
 /// True when a regular file exists at `path` (the resume trigger).
 bool checkpoint_exists(const std::string& path);

@@ -97,12 +97,12 @@ TEST_F(IntegrationFixture, FixedDropoutImprovesDriftRobustness) {
     Rng eval_rng(8);
     const fault::LogNormalDrift drift(0.9);
     const double plain_acc =
-        fault::evaluate_under_drift(*plain.net, test_.images, test_.labels,
-                                    drift, 6, eval_rng)
+        fault::evaluate_under_faults(*plain.net, test_.images, test_.labels,
+                                     drift, 6, eval_rng)
             .mean_accuracy;
     const double dropped_acc =
-        fault::evaluate_under_drift(*dropped.net, test_.images, test_.labels,
-                                    drift, 6, eval_rng)
+        fault::evaluate_under_faults(*dropped.net, test_.images, test_.labels,
+                                     drift, 6, eval_rng)
             .mean_accuracy;
     EXPECT_GT(dropped_acc, plain_acc);
 }

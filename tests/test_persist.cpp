@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -91,70 +92,88 @@ SearchCheckpoint sample_checkpoint() {
     return cp;
 }
 
+void expect_same_checkpoint(const SearchCheckpoint& a,
+                            const SearchCheckpoint& b) {
+    EXPECT_EQ(a.run_id, b.run_id);
+    EXPECT_EQ(a.build, b.build);
+    EXPECT_EQ(a.space_digest, b.space_digest);
+    EXPECT_EQ(a.scenario_digest, b.scenario_digest);
+    EXPECT_EQ(a.context_key, b.context_key);
+    EXPECT_EQ(a.context_stamp, b.context_stamp);
+    EXPECT_EQ(a.trials_done, b.trials_done);
+    EXPECT_EQ(a.run_rng, b.run_rng);
+    EXPECT_EQ(a.bo.rng, b.bo.rng);
+    EXPECT_EQ(a.bo.initial_used, b.bo.initial_used);
+    EXPECT_EQ(a.bo.initial_plan, b.bo.initial_plan);
+    EXPECT_EQ(a.bo.trust_region.length, b.bo.trust_region.length);
+    EXPECT_EQ(a.bo.trust_region.successes, b.bo.trust_region.successes);
+    EXPECT_EQ(a.bo.trust_region.failures, b.bo.trust_region.failures);
+    EXPECT_EQ(a.bo.trust_region.restarts, b.bo.trust_region.restarts);
+    ASSERT_EQ(a.bo.trials.size(), b.bo.trials.size());
+    for (std::size_t i = 0; i < a.bo.trials.size(); ++i) {
+        EXPECT_EQ(a.bo.trials[i].x, b.bo.trials[i].x) << "trial " << i;
+        EXPECT_EQ(a.bo.trials[i].y, b.bo.trials[i].y) << "trial " << i;
+        EXPECT_EQ(a.bo.trials[i].status, b.bo.trials[i].status);
+    }
+    EXPECT_EQ(a.cache, b.cache);
+    EXPECT_EQ(a.model_bits, b.model_bits);
+    EXPECT_EQ(a.model_rngs, b.model_rngs);
+    EXPECT_EQ(a.model_digest, b.model_digest);
+}
+
 TEST(CheckpointFileTest, RoundTripIsBitExact) {
     const std::string path = temp_path("roundtrip.ckpt");
     const SearchCheckpoint cp = sample_checkpoint();
     save_checkpoint(cp, path);
     const SearchCheckpoint loaded = load_checkpoint(path);
-
-    EXPECT_EQ(cp.run_id, loaded.run_id);
-    EXPECT_EQ(cp.build, loaded.build);
-    EXPECT_EQ(cp.space_digest, loaded.space_digest);
-    EXPECT_EQ(cp.scenario_digest, loaded.scenario_digest);
-    EXPECT_EQ(cp.context_key, loaded.context_key);
-    EXPECT_EQ(cp.context_stamp, loaded.context_stamp);
-    EXPECT_EQ(cp.trials_done, loaded.trials_done);
-    EXPECT_EQ(cp.run_rng, loaded.run_rng);
-    EXPECT_EQ(cp.bo.rng, loaded.bo.rng);
-    EXPECT_EQ(cp.bo.initial_used, loaded.bo.initial_used);
-    ASSERT_EQ(cp.bo.initial_plan, loaded.bo.initial_plan);
-    ASSERT_EQ(cp.bo.trials.size(), loaded.bo.trials.size());
-    for (std::size_t i = 0; i < cp.bo.trials.size(); ++i) {
-        EXPECT_EQ(cp.bo.trials[i].x, loaded.bo.trials[i].x);
-        EXPECT_EQ(cp.bo.trials[i].y, loaded.bo.trials[i].y);
-    }
-    EXPECT_EQ(cp.cache, loaded.cache);
-    EXPECT_EQ(cp.model_bits, loaded.model_bits);
-    ASSERT_EQ(cp.model_rngs.size(), loaded.model_rngs.size());
-    for (std::size_t i = 0; i < cp.model_rngs.size(); ++i) {
-        EXPECT_EQ(cp.model_rngs[i], loaded.model_rngs[i]);
-    }
-    EXPECT_EQ(cp.model_digest, loaded.model_digest);
-    EXPECT_EQ(cp.bo.trust_region.length, loaded.bo.trust_region.length);
-    EXPECT_EQ(cp.bo.trust_region.successes,
-              loaded.bo.trust_region.successes);
-    EXPECT_EQ(cp.bo.trust_region.failures, loaded.bo.trust_region.failures);
-    EXPECT_EQ(cp.bo.trust_region.restarts, loaded.bo.trust_region.restarts);
+    expect_same_checkpoint(cp, loaded);
     // -0.0 must survive as -0.0 (bit pattern, not value, equality).
+    ASSERT_EQ(loaded.bo.initial_plan.size(), 2U);
     EXPECT_TRUE(std::signbit(loaded.bo.initial_plan[0][1]));
     fs::remove(path);
 }
 
+std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::string& text) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+}
+
+/// The bytes of a v4 base up to and including its end marker, minus the
+/// commit line after it.
+std::string without_commit_line(const std::string& text) {
+    const std::size_t end = text.rfind("\nend\n");
+    EXPECT_NE(end, std::string::npos);
+    return text.substr(0, end + 5);
+}
+
 TEST(CheckpointFileTest, LoadsVersion2WithoutTrustRegionRecord) {
-    // A v2 file is a v3 file minus the trust_region record with a v2
+    // A v2 file is a v3 base minus the trust_region record with a v2
     // header — exactly what the pre-v3 writer produced.  It must load with
     // the trust region at its "freshly initialized" default (length 0, so
     // BayesOpt::import_state installs the configured initial edge).
     const std::string path = temp_path("v2.ckpt");
+    fs::remove(path);
     save_checkpoint(sample_checkpoint(), path);
-    std::ifstream in(path);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
-    const std::string header = "bayesft-checkpoint 3\n";
+    std::string text = without_commit_line(read_file(path));
+    const std::string header = "bayesft-checkpoint 4\n";
     ASSERT_EQ(text.rfind(header, 0), 0U);
     text.replace(0, header.size(), "bayesft-checkpoint 2\n");
     const std::size_t tr_start = text.find("trust_region ");
     ASSERT_NE(tr_start, std::string::npos);
     const std::size_t tr_end = text.find('\n', tr_start);
     text.erase(tr_start, tr_end - tr_start + 1);
-    {
-        std::ofstream out(path);
-        out << text;
-    }
+    write_file(path, text);
 
-    const SearchCheckpoint loaded = load_checkpoint(path);
+    CheckpointLayout layout;
+    const SearchCheckpoint loaded = load_checkpoint(path, &layout);
     const SearchCheckpoint cp = sample_checkpoint();
+    EXPECT_EQ(layout.version, 2U);
     EXPECT_EQ(cp.trials_done, loaded.trials_done);
     EXPECT_EQ(cp.bo.initial_used, loaded.bo.initial_used);
     EXPECT_EQ(cp.model_bits, loaded.model_bits);
@@ -162,6 +181,49 @@ TEST(CheckpointFileTest, LoadsVersion2WithoutTrustRegionRecord) {
     EXPECT_EQ(loaded.bo.trust_region.successes, 0U);
     EXPECT_EQ(loaded.bo.trust_region.failures, 0U);
     EXPECT_EQ(loaded.bo.trust_region.restarts, 0U);
+
+    // Bytes after a v2 end marker are a journal the old format cannot
+    // describe: reject them rather than resume the stale base.
+    write_file(path, text + "delta 0\n");
+    EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+    fs::remove(path);
+}
+
+/// tests/data/checkpoint_v3.ckpt: a toy_arch_blobs --quick search stopped
+/// after 3 trials, written by the last v3 writer.
+std::string v3_fixture_path() {
+    return (fs::path(__FILE__).parent_path() / "data" / "checkpoint_v3.ckpt")
+        .string();
+}
+
+TEST(CheckpointFileTest, LoadsCommittedVersion3Fixture) {
+    CheckpointLayout layout;
+    const SearchCheckpoint loaded = load_checkpoint(v3_fixture_path(), &layout);
+    EXPECT_EQ(layout.version, 3U);
+    EXPECT_EQ(layout.deltas, 0U);
+    EXPECT_EQ(loaded.run_id, "arch_search:mlp-arch");
+    EXPECT_EQ(loaded.trials_done, 3U);
+    ASSERT_EQ(loaded.bo.trials.size(), 3U);
+    EXPECT_EQ(loaded.bo.trials[0].x.size(), 12U);
+    EXPECT_EQ(loaded.bo.initial_plan.size(), 2U);
+    EXPECT_EQ(loaded.bo.initial_used, 2U);
+    EXPECT_EQ(loaded.cache.size(), 3U);
+    EXPECT_EQ(loaded.bo.trust_region.length, 0.4);
+    EXPECT_TRUE(loaded.model_bits.empty());
+
+    // The v4 base is the v3 file byte for byte under the new version
+    // number, followed by its commit line.
+    const std::string path = temp_path("v3_resaved.ckpt");
+    fs::remove(path);
+    save_checkpoint(loaded, path);
+    std::string expected = read_file(v3_fixture_path());
+    ASSERT_EQ(expected.rfind("bayesft-checkpoint 3\n", 0), 0U);
+    expected[19] = '4';
+    EXPECT_EQ(without_commit_line(read_file(path)), expected);
+
+    // A v3 file with anything after its end marker is rejected.
+    write_file(path, read_file(v3_fixture_path()) + "x\n");
+    EXPECT_THROW(load_checkpoint(path), std::runtime_error);
     fs::remove(path);
 }
 
@@ -174,7 +236,7 @@ TEST(CheckpointFileTest, RejectsVersionsOutsideTheReadableRange) {
     EXPECT_THROW(load_checkpoint(path), std::runtime_error);
     {
         std::ofstream out(path);
-        out << "bayesft-checkpoint 4\n";
+        out << "bayesft-checkpoint 5\n";
     }
     EXPECT_THROW(load_checkpoint(path), std::runtime_error);
     fs::remove(path);
@@ -254,6 +316,226 @@ TEST(CheckpointFileTest, ValidateRejectsForeignScenario) {
         validate_checkpoint(cp, cp.space_digest, cp.scenario_digest + 1,
                             "p"),
         std::runtime_error);
+}
+
+// ------------------------------------------------------------ journal ----
+
+/// A self-contained 12-dim search's checkpoint after `rounds` one-trial
+/// rounds.  Every successful trial is cached and the cache is sorted as
+/// EvaluationEngine::export_cache sorts it; some trials repeat an earlier
+/// point (memo hits, no new entry) and some fail (never cached).  Round r
+/// extends round r-1, as a live search does.
+SearchCheckpoint search_round(std::size_t rounds, std::uint64_t key = 7) {
+    SearchCheckpoint cp;
+    cp.run_id = "journal test";
+    cp.build = "test";
+    cp.space_digest = 11;
+    cp.scenario_digest = 12;
+    cp.context_key = key;
+    Rng plan_rng(3);
+    for (int i = 0; i < 4; ++i) {
+        std::vector<double> row(12);
+        for (double& v : row) v = plan_rng.uniform();
+        cp.bo.initial_plan.push_back(row);
+    }
+    Rng rng(key);
+    for (std::size_t r = 0; r < rounds; ++r) {
+        bayesopt::Trial trial;
+        trial.x.resize(12);
+        for (double& v : trial.x) v = rng.uniform();
+        if (r % 5 == 3) trial.x = cp.bo.trials[r - 2].x;
+        trial.y = rng.normal();
+        if (r % 7 == 6) trial.status = TrialStatus::kFailedCrash;
+        const bool cached = std::any_of(
+            cp.cache.begin(), cp.cache.end(),
+            [&](const auto& entry) { return entry.first == trial.x; });
+        if (trial.status == TrialStatus::kOk && !cached) {
+            cp.cache.emplace_back(trial.x, trial.y);
+        }
+        cp.bo.trials.push_back(trial);
+    }
+    std::sort(cp.cache.begin(), cp.cache.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    cp.trials_done = rounds;
+    cp.run_rng = rng.state();
+    cp.bo.rng = Rng(rounds).state();
+    cp.bo.initial_used = std::min<std::size_t>(rounds, 4);
+    cp.bo.trust_region.length = 0.01 * static_cast<double>(rounds);
+    cp.bo.trust_region.successes = rounds % 3;
+    return cp;
+}
+
+TEST(CheckpointJournalTest, RoundsAppendFlatDeltasAndCompact) {
+    const std::string path = temp_path("journal.ckpt");
+    const std::string fresh = temp_path("journal_fresh.ckpt");
+    fs::remove(path);
+    std::uint64_t size = 0;
+    std::uint64_t written = 0;    // bytes the journal writer wrote
+    std::uint64_t rewritten = 0;  // bytes a full rewrite per round writes
+    std::size_t bases = 0;
+    std::vector<std::uint64_t> deltas;
+    for (std::size_t round = 1; round <= 200; ++round) {
+        const SearchCheckpoint cp = search_round(round);
+        save_checkpoint(cp, path);
+        CheckpointLayout layout;
+        const SearchCheckpoint loaded = load_checkpoint(path, &layout);
+        expect_same_checkpoint(cp, loaded);
+        EXPECT_EQ(layout.version, 4U);
+        EXPECT_EQ(layout.torn_bytes, 0U);
+        const std::uint64_t now = fs::file_size(path);
+        if (layout.deltas == 0) {
+            ++bases;
+            written += now;
+        } else {
+            deltas.push_back(now - size);
+            written += now - size;
+            EXPECT_LE(layout.journal_bytes, layout.base_bytes);
+        }
+        size = now;
+        fs::remove(fresh);
+        save_checkpoint(cp, fresh);
+        rewritten += fs::file_size(fresh);
+    }
+    // Compaction rebases about log2(n) times: each new base is a constant
+    // factor larger than the last.
+    EXPECT_GE(bases, 2U);
+    EXPECT_LE(bases, 16U);
+    ASSERT_GT(deltas.size(), 150U);
+    // Bytes per appended round do not grow with the trial count (a round
+    // differs only by whether it cached a new entry and by the decimal
+    // width of trials_done).
+    const std::uint64_t early =
+        *std::max_element(deltas.begin(), deltas.begin() + 10);
+    for (std::size_t i = 0; i < deltas.size(); ++i) {
+        EXPECT_LE(deltas[i], early + 2) << "delta " << i;
+    }
+    EXPECT_LT(written * 10, rewritten);
+    fs::remove(path);
+    fs::remove(fresh);
+}
+
+/// Saves rounds 1..k into `path`, with k the first round from `from` on
+/// whose save appended a delta.  Returns k; `before` receives the file as
+/// it stood after round k-1.
+std::size_t save_until_append(const std::string& path, std::size_t from,
+                              std::string& before) {
+    fs::remove(path);
+    for (std::size_t round = 1;; ++round) {
+        before = read_file(path);
+        save_checkpoint(search_round(round), path);
+        CheckpointLayout layout;
+        load_checkpoint(path, &layout);
+        if (round >= from && layout.deltas > 0) return round;
+    }
+}
+
+TEST(CheckpointJournalTest, EveryTornTailLoadsThePreviousCommit) {
+    const std::string path = temp_path("torn.ckpt");
+    std::string before;
+    const std::size_t k = save_until_append(path, 20, before);
+    const std::string full = read_file(path);
+    ASSERT_EQ(full.compare(0, before.size(), before), 0);
+    const SearchCheckpoint previous = search_round(k - 1);
+    for (std::size_t cut = before.size(); cut < full.size(); ++cut) {
+        SCOPED_TRACE("cut at byte " + std::to_string(cut));
+        write_file(path, full.substr(0, cut));
+        CheckpointLayout layout;
+        expect_same_checkpoint(previous, load_checkpoint(path, &layout));
+        EXPECT_EQ(layout.torn_bytes, cut - before.size());
+        if (cut % 97 == 1) {
+            // The next save cannot append to a torn tail: it writes a
+            // fresh base holding all k rounds.
+            save_checkpoint(search_round(k), path);
+            expect_same_checkpoint(search_round(k),
+                                   load_checkpoint(path, &layout));
+            EXPECT_EQ(layout.deltas, 0U);
+            EXPECT_EQ(layout.base_trials, k);
+        }
+    }
+    fs::remove(path);
+}
+
+TEST(CheckpointJournalTest, FlippedByteInTheLastDeltaIsRejected) {
+    const std::string path = temp_path("flip.ckpt");
+    std::string before;
+    const std::size_t k = save_until_append(path, 20, before);
+    const std::string full = read_file(path);
+    CheckpointLayout committed;
+    load_checkpoint(path, &committed);
+    const SearchCheckpoint previous = search_round(k - 1);
+    for (std::size_t at = before.size(); at < full.size(); ++at) {
+        for (const unsigned char mask : {0x01, 0x20, 0xFF}) {
+            SCOPED_TRACE("byte " + std::to_string(at) + " ^ " +
+                         std::to_string(mask));
+            std::string flipped = full;
+            flipped[at] = static_cast<char>(flipped[at] ^ mask);
+            write_file(path, flipped);
+            CheckpointLayout layout;
+            expect_same_checkpoint(previous, load_checkpoint(path, &layout));
+            EXPECT_EQ(layout.deltas, committed.deltas - 1);
+        }
+    }
+    fs::remove(path);
+}
+
+TEST(CheckpointJournalTest, SaveOntoAnotherFileWritesAFreshBase) {
+    const std::string path = temp_path("rebase.ckpt");
+    const auto expect_fresh_base = [&](const SearchCheckpoint& cp) {
+        save_checkpoint(cp, path);
+        CheckpointLayout layout;
+        expect_same_checkpoint(cp, load_checkpoint(path, &layout));
+        EXPECT_EQ(layout.deltas, 0U);
+        EXPECT_EQ(layout.base_trials, cp.bo.trials.size());
+    };
+    const auto save_rounds = [&](std::size_t rounds, std::uint64_t key) {
+        fs::remove(path);
+        for (std::size_t round = 1; round <= rounds; ++round) {
+            save_checkpoint(search_round(round, key), path);
+        }
+        CheckpointLayout layout;
+        load_checkpoint(path, &layout);
+        ASSERT_GT(layout.deltas, 0U);
+    };
+
+    // Foreign files: not a checkpoint, and a v3 checkpoint.
+    write_file(path, "not a checkpoint\n");
+    expect_fresh_base(search_round(3));
+    write_file(path, read_file(v3_fixture_path()));
+    expect_fresh_base(search_round(3));
+
+    // A previous pass (another context key) at the same path.
+    save_rounds(10, 7);
+    expect_fresh_base(search_round(1, 8));
+    save_checkpoint(search_round(2, 8), path);
+    CheckpointLayout layout;
+    load_checkpoint(path, &layout);
+    EXPECT_EQ(layout.deltas, 1U);
+
+    // Same header, but the trials no longer extend the file's.
+    save_rounds(10, 7);
+    SearchCheckpoint diverged = search_round(11);
+    diverged.bo.trials[0].y += 1.0;
+    expect_fresh_base(diverged);
+
+    // No new trial, a cache entry no trial explains, and an unsorted cache.
+    save_rounds(10, 7);
+    expect_fresh_base(search_round(10));
+    SearchCheckpoint extra = search_round(11);
+    extra.cache.emplace_back(std::vector<double>(12, 2.0), 1.0);
+    expect_fresh_base(extra);
+    SearchCheckpoint unsorted = search_round(12);
+    std::reverse(unsorted.cache.begin(), unsorted.cache.end());
+    expect_fresh_base(unsorted);
+
+    // Model payloads are never journaled.
+    fs::remove(path);
+    for (std::size_t round = 1; round <= 3; ++round) {
+        SearchCheckpoint cp = search_round(round);
+        cp.model_bits = {1u, 2u, static_cast<std::uint32_t>(round)};
+        cp.model_digest = 5;
+        expect_fresh_base(cp);
+    }
+    fs::remove(path);
 }
 
 // ------------------------------------------------- model snapshots ----
@@ -667,6 +949,85 @@ TEST_F(ResumeTortureFixture, ArchSearchResumeBitIdenticalSerialAndBatched) {
             fs::remove(path);
         }
     }
+}
+
+TEST_F(ResumeTortureFixture, ArchSearchResumesFromEveryTornTail) {
+    const models::ArchFamily family = tiny_family();
+    const ArchSearchConfig config = arch_config(1, 1);
+    Rng reference_rng(51);
+    const ArchSearchResult reference =
+        arch_search(family, train_, test_, config, reference_rng);
+    const std::string path = temp_path("arch_torn.ckpt");
+    ArchSearchConfig checkpointed = config;
+    checkpointed.checkpoint.path = path;
+    const auto run_until = [&](std::size_t stop) {
+        fs::remove(path);
+        ArchSearchConfig interrupted = checkpointed;
+        interrupted.checkpoint.stop_after = stop;
+        Rng rng(51);
+        arch_search(family, train_, test_, interrupted, rng);
+    };
+    // The latest boundary whose save appended a journal delta.
+    std::size_t k = 0;
+    for (std::size_t stop = config.iterations - 1; stop >= 2 && k == 0;
+         --stop) {
+        run_until(stop);
+        CheckpointLayout layout;
+        load_checkpoint(path, &layout);
+        if (layout.deltas > 0) k = stop;
+    }
+    ASSERT_NE(k, 0U);
+    run_until(k - 1);
+    const std::string before = read_file(path);
+    const SearchCheckpoint previous = load_checkpoint(path);
+    run_until(k);
+    const std::string full = read_file(path);
+    ASSERT_EQ(full.compare(0, before.size(), before), 0);
+
+    for (std::size_t cut = before.size(); cut < full.size(); ++cut) {
+        SCOPED_TRACE("cut at byte " + std::to_string(cut));
+        write_file(path, full.substr(0, cut));
+        expect_same_checkpoint(previous, load_checkpoint(path));
+        Rng rng(51);
+        const ArchSearchResult resumed =
+            arch_search(family, train_, test_, checkpointed, rng);
+        EXPECT_TRUE(resumed.completed);
+        EXPECT_EQ(reference.best_point.values, resumed.best_point.values);
+        expect_same_trials(reference.trials, resumed.trials);
+    }
+    fs::remove(path);
+}
+
+TEST_F(ResumeTortureFixture, ArchSearchResumesOneTrialPerProcess) {
+    // Each invocation resumes the file the previous one left and observes
+    // one more trial: later invocations append to journals earlier ones
+    // wrote.
+    const models::ArchFamily family = tiny_family();
+    const ArchSearchConfig config = arch_config(1, 1);
+    Rng reference_rng(51);
+    const ArchSearchResult reference =
+        arch_search(family, train_, test_, config, reference_rng);
+    const std::string path = temp_path("arch_steps.ckpt");
+    fs::remove(path);
+    ArchSearchConfig stepped = config;
+    stepped.checkpoint.path = path;
+    stepped.checkpoint.stop_after = 1;
+    std::size_t appended = 0;
+    ArchSearchResult result;
+    for (std::size_t step = 0; step < config.iterations; ++step) {
+        Rng rng(51);
+        result = arch_search(family, train_, test_, stepped, rng);
+        CheckpointLayout layout;
+        load_checkpoint(path, &layout);
+        appended += layout.deltas > 0 ? 1 : 0;
+        if (result.completed) break;
+    }
+    EXPECT_TRUE(result.completed);
+    EXPECT_GT(appended, 0U);
+    EXPECT_EQ(reference.best_point.values, result.best_point.values);
+    EXPECT_EQ(reference.best_utility, result.best_utility);
+    expect_same_trials(reference.trials, result.trials);
+    fs::remove(path);
 }
 
 }  // namespace

@@ -442,7 +442,7 @@ TEST(SimdBitExact, InjectionUnderOneAndFourThreadsEveryTier) {
         TierOverride override_tier(t);
         for (const std::size_t threads : {1UL, 4UL}) {
             Rng eval_rng(123);
-            const auto report = fault::evaluate_under_drift(
+            const auto report = fault::evaluate_under_faults(
                 model, images, labels, drift, 8, eval_rng, threads);
             if (reference.empty()) {
                 reference = report.samples;
